@@ -23,7 +23,8 @@ bench-disk:
 	$(GO) test -bench 'Store' -benchtime=100x -run '^$$' ./internal/stable/
 
 # bench-handle demonstrates the cached Register-handle hot path against the
-# per-operation string-map resolution it replaced.
+# per-operation string-map resolution of the engine's shard and queue that
+# the Node-level API pays.
 bench-handle:
 	$(GO) test -bench 'BenchmarkStringLookup|BenchmarkRegisterHandle' -benchtime=1000000x -run '^$$' ./internal/core/
 

@@ -20,8 +20,8 @@ import (
 // behind it.
 type Client interface {
 	// Register resolves a handle on the named register. Resolution work
-	// (dispatcher shard, submission queue, write lock — or the encoded name
-	// for remote clients) happens once, here: reuse handles on hot paths.
+	// (dispatcher shard and submission queue — or the encoded name for
+	// remote clients) happens once, here: reuse handles on hot paths.
 	Register(name string) *Register
 	// Crash fails the process behind the client: volatile state is lost and
 	// in-flight operations return ErrCrashed. ErrDown if already down.

@@ -5,6 +5,7 @@ import (
 	"hash/maphash"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"recmem/internal/tag"
 	"recmem/internal/transport"
@@ -39,13 +40,12 @@ import (
 //     per-destination batch frames (wire.EncodeBatch), so one network
 //     round-trip carries the coalesced rounds of many registers.
 //
-// The synchronous Write/Read path still serializes on opMu, modeling the
-// paper's sequential process. Mixing the synchronous and the asynchronous
-// API on the same register of the same node is safe for atomicity — tag-
-// minting write executions for one register serialize on the node's
-// per-register write lock (see writeProtocol), so racing paths can never
-// mint the same timestamp for different values — but it forfeits the
-// per-process program order the synchronous path guarantees.
+// The engine is the only executor of client operations. Synchronous
+// Write/Read are one-sub submissions plus a wait on the future, serialized
+// on opMu to keep the paper's sequential process; each register's single
+// dispatcher serializes its tag-minting write executions, so no two batches
+// of one node can mint the same timestamp for different values, whichever
+// API submitted them.
 
 // batchSub is one submitted operation waiting in a register's queue. Subs
 // are engine-owned — created at submission, consumed by exactly one flush —
@@ -132,16 +132,9 @@ func (eng *engine) queueFor(reg string) (*engineShard, *regQueue) {
 	return sh, q
 }
 
-// enqueue appends a submission to the register's queue and starts a
+// enqueue appends a submission to the register's resolved queue and starts a
 // dispatcher for the register if none is running.
-func (eng *engine) enqueue(reg string, sub *batchSub) {
-	sh, q := eng.queueFor(reg)
-	eng.enqueueResolved(sh, q, reg, sub)
-}
-
-// enqueueResolved is enqueue with the shard and queue already resolved (the
-// cached-handle fast path).
-func (eng *engine) enqueueResolved(sh *engineShard, q *regQueue, reg string, sub *batchSub) {
+func (eng *engine) enqueue(sh *engineShard, q *regQueue, reg string, sub *batchSub) {
 	sh.mu.Lock()
 	q.pending = append(q.pending, sub)
 	if !q.running {
@@ -211,7 +204,7 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 	}
 	ctx := context.Background() // rounds abort via crashCh on crash/close
 	if writeCarrier >= 0 {
-		wit, err := nd.writeProtocol(ctx, batch[writeCarrier].op, reg, finalVal, true)
+		wit, err := nd.writeProtocol(ctx, batch[writeCarrier].op, reg, finalVal)
 		for i, s := range batch {
 			if s.read {
 				continue
@@ -223,20 +216,36 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 			if i == lastWrite {
 				w = wit
 			}
-			inc, err2 := nd.endOp(s.op, s.epoch, s.obs, err, nil, w)
+			inc, err2 := nd.endOp(s, err, nil, w)
 			s.fut.complete(nil, w, inc, err2)
 		}
 	}
 	if readCarrier >= 0 {
-		val, wit, err := nd.readProtocol(ctx, batch[readCarrier].op, reg, true)
+		val, wit, err := nd.readProtocol(ctx, batch[readCarrier].op, reg)
 		for _, s := range batch {
 			if !s.read {
 				continue
 			}
-			inc, err2 := nd.endOp(s.op, s.epoch, s.obs, err, val, wit)
+			inc, err2 := nd.endOp(s, err, val, wit)
 			s.fut.complete(val, wit, inc, err2)
 		}
 	}
+}
+
+// submit admits one operation and queues it for the register's dispatcher.
+// sh and q are the register's resolved queue, or nil to resolve it by name
+// once the operation is admitted.
+func (nd *Node) submit(reg string, sh *engineShard, q *regQueue, read bool, val []byte, obs OpObserver) (*Future, error) {
+	s, err := nd.admit(read, val, obs)
+	if err != nil {
+		return nil, err
+	}
+	fut := s.fut // the engine owns s once it is queued
+	if q == nil {
+		sh, q = nd.eng.queueFor(reg)
+	}
+	nd.eng.enqueue(sh, q, reg, s)
+	return fut, nil
 }
 
 // SubmitWrite asynchronously writes val to the named register through the
@@ -247,41 +256,14 @@ func (eng *engine) flush(reg string, batch []*batchSub) {
 // immediately and leave no trace in the history.
 func (nd *Node) SubmitWrite(reg string, val []byte, obs OpObserver) (*Future, error) {
 	val = append([]byte(nil), val...) // copy once at the boundary
-	return nd.submitWriteOwned(reg, val, obs)
-}
-
-// submitWriteOwned is SubmitWrite minus the defensive copy: the caller
-// transfers ownership of val, which must never be mutated afterwards. The
-// remote server uses this through RegisterRef — its decoded request value is
-// already an owned copy, and copying it again would be the last avoidable
-// per-op allocation on the ingest path.
-func (nd *Node) submitWriteOwned(reg string, val []byte, obs OpObserver) (*Future, error) {
-	if len(val) > wire.MaxValueSize {
-		return nil, wire.ErrValueTooLarge
-	}
-	if nd.kind == RegularSW && nd.id != RegularWriter {
-		return nil, ErrNotWriter
-	}
-	op, epoch, err := nd.beginOp(obs)
-	if err != nil {
-		return nil, err
-	}
-	fut := newFuture(op)
-	nd.eng.enqueue(reg, newSub(false, val, obs, op, epoch, fut))
-	return fut, nil
+	return nd.submit(reg, nil, nil, false, val, obs)
 }
 
 // SubmitRead asynchronously reads the named register through the batching
 // engine. Concurrent submitted reads of one register share a single quorum
 // round (and its single write-back) and all return its value.
 func (nd *Node) SubmitRead(reg string, obs OpObserver) (*Future, error) {
-	op, epoch, err := nd.beginOp(obs)
-	if err != nil {
-		return nil, err
-	}
-	fut := newFuture(op)
-	nd.eng.enqueue(reg, newSub(true, nil, obs, op, epoch, fut))
-	return fut, nil
+	return nd.submit(reg, nil, nil, true, nil, obs)
 }
 
 // gatherYields caps the outbox's quiescence probe: the flusher drains once
@@ -291,8 +273,9 @@ func (nd *Node) SubmitRead(reg string, obs OpObserver) (*Future, error) {
 const gatherYields = 64
 
 // outbox group-commits outgoing round broadcasts into per-destination batch
-// frames. Senders enqueue and return; a single flusher goroutine gathers for
-// flushWindow, then drains everything staged — including whatever
+// frames. Every round of the node stages its sweeps here. Senders enqueue and
+// return; a single flusher goroutine gathers until staging quiesces (see
+// flushLoop), then drains everything staged — including whatever
 // accumulated while the previous flush was on the wire.
 type outbox struct {
 	nd      *Node
@@ -301,6 +284,10 @@ type outbox struct {
 	spare   []wire.Envelope // recycled drain buffer, swapped with buf by the flusher
 	running bool
 
+	// crashes counts discards. A sweep staged by a round that began before
+	// the latest discard, or drained before it, never reaches the network.
+	crashes atomic.Uint64
+
 	// flusher-owned scratch (at most one flushLoop runs at a time): the
 	// per-destination grouping map and order slice persist across drains
 	// instead of reallocating per generation.
@@ -308,16 +295,36 @@ type outbox struct {
 	order   []int32
 }
 
-// enqueue stages a round's sweep for transmission. The sender id is stamped
-// and the sends are traced here so trace order matches staging order.
-func (ob *outbox) enqueue(envs ...wire.Envelope) {
+// discard drops every staged envelope, and any generation the flusher has
+// drained but not yet sent. The node calls it under nd.mu when it crashes or
+// closes: a crashed process's unsent messages die with its volatile memory,
+// so a round the crash interrupted can never reach the network afterwards.
+func (ob *outbox) discard() {
+	ob.mu.Lock()
+	ob.crashes.Add(1)
+	clear(ob.buf)
+	ob.buf = ob.buf[:0]
+	ob.mu.Unlock()
+}
+
+// enqueue stages a round's sweep for transmission. crashes is the discard
+// count the round started under; a round still staging after a crash has a
+// stale one, and its sweep is dropped. The sender id is stamped and the sends
+// are traced here so trace order matches staging order.
+func (ob *outbox) enqueue(crashes uint64, envs ...wire.Envelope) {
 	for i := range envs {
 		envs[i].From = ob.nd.id
-		if ob.nd.tr != nil {
-			ob.nd.traceEvent("send", envs[i].String())
-		}
 	}
 	ob.mu.Lock()
+	if ob.crashes.Load() != crashes {
+		ob.mu.Unlock()
+		return
+	}
+	if ob.nd.tr != nil {
+		for _, env := range envs {
+			ob.nd.traceEvent("send", env.String())
+		}
+	}
 	ob.buf = append(ob.buf, envs...)
 	if !ob.running {
 		ob.running = true
@@ -360,6 +367,7 @@ func (ob *outbox) flushLoop() {
 			ob.mu.Unlock()
 			return
 		}
+		crashes := ob.crashes.Load()
 		ob.mu.Unlock()
 		if ob.perDest == nil {
 			ob.perDest = make(map[int32][]wire.Envelope, ob.nd.n)
@@ -372,7 +380,9 @@ func (ob *outbox) flushLoop() {
 			ob.perDest[env.To] = append(ob.perDest[env.To], env)
 		}
 		for _, to := range order {
-			transport.SendAll(ob.nd.ep, ob.perDest[to])
+			if ob.crashes.Load() == crashes {
+				transport.SendAll(ob.nd.ep, ob.perDest[to])
+			}
 			ob.perDest[to] = ob.perDest[to][:0] // keep capacity, drop the group
 		}
 		ob.order = order[:0]

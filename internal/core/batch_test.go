@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"recmem/internal/netsim"
+	"recmem/internal/stable"
+	"recmem/internal/transport"
 	"recmem/internal/wire"
 )
 
@@ -318,5 +321,81 @@ func TestMixedSyncAsyncWritesNeverShareTags(t *testing.T) {
 			}
 			byTag[tg.String()] = string(v)
 		}
+	}
+}
+
+// gatedEndpoint parks the first query send it sees until released, and
+// counts the query sends that reach it once the test marks the node crashed.
+type gatedEndpoint struct {
+	transport.Endpoint
+	gated   atomic.Bool
+	held    chan struct{} // closed once the first query send is parked
+	release chan struct{}
+	crashed atomic.Bool
+	late    atomic.Int32
+}
+
+func (g *gatedEndpoint) Send(env wire.Envelope) {
+	if env.Kind == wire.KindSNQuery {
+		if !g.gated.Swap(true) {
+			close(g.held)
+			<-g.release
+		} else if g.crashed.Load() {
+			g.late.Add(1)
+		}
+	}
+	g.Endpoint.Send(env)
+}
+
+// TestCrashDropsUnsentOutbox: a crash wipes the outbox like any other
+// volatile state. With the flusher parked inside the first send of a query
+// sweep, the rest of that drained sweep and the retransmission staged behind
+// it must never reach the network once the node has crashed, and neither may
+// a sweep that a round which has not yet noticed the crash stages afterwards.
+func TestCrashDropsUnsentOutbox(t *testing.T) {
+	nw, err := netsim.New(3, netsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	g := &gatedEndpoint{Endpoint: nw.Endpoint(0), held: make(chan struct{}), release: make(chan struct{})}
+	nd, err := NewNode(0, 3, Persistent, Options{RetransmitEvery: 5 * time.Millisecond},
+		Deps{Endpoint: g, Storage: stable.NewMemDisk(stable.Profile{}), IDs: &atomic.Uint64{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	fut, err := nd.SubmitWrite("x", []byte("v"), OpObserver{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-g.held
+	waitFor(t, 5*time.Second, "the retransmission sweep to be staged", func() bool {
+		nd.ob.mu.Lock()
+		defer nd.ob.mu.Unlock()
+		return len(nd.ob.buf) > 0
+	})
+	g.crashed.Store(true)
+	crashes := nd.ob.crashes.Load()
+	nd.Crash(nil)
+	close(g.release)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := fut.Wait(ctx); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("interrupted write: %v", err)
+	}
+	waitFor(t, 5*time.Second, "the flusher to stop", func() bool {
+		nd.ob.mu.Lock()
+		defer nd.ob.mu.Unlock()
+		return !nd.ob.running
+	})
+	nd.ob.enqueue(crashes, wire.Envelope{Kind: wire.KindSNQuery, To: 1, Reg: "x"})
+	waitFor(t, 5*time.Second, "the flusher to stop", func() bool {
+		nd.ob.mu.Lock()
+		defer nd.ob.mu.Unlock()
+		return !nd.ob.running
+	})
+	if n := g.late.Load(); n != 0 {
+		t.Fatalf("%d query envelopes reached the network after the crash", n)
 	}
 }

@@ -25,12 +25,14 @@
 // instance of the protocol multiplexed over the same channels and stable
 // store.
 //
-// Beyond the paper's one-operation-at-a-time processes, every node carries a
-// batching + pipelining engine (batch.go): SubmitWrite/SubmitRead return
-// futures, concurrent submissions to one register coalesce into a single
-// execution of the protocol (one minted timestamp and one causal log chain
-// per batch), and different registers' rounds overlap, their broadcasts
-// group-committed into per-destination batch frames. See docs/adr/0001.
+// Every operation runs through the node's batching + pipelining engine
+// (batch.go): SubmitWrite/SubmitRead return futures, and the synchronous
+// Write/Read are one-operation submissions plus a wait — the paper's
+// one-operation-at-a-time process. Concurrent submissions to one register
+// coalesce into a single execution of the protocol (one minted timestamp
+// and one causal log chain per batch), and different registers' rounds
+// overlap, their broadcasts group-committed into per-destination batch
+// frames. See docs/adr/0001 and docs/adr/0011.
 package core
 
 import (
@@ -183,8 +185,10 @@ type Node struct {
 	mm  *metrics.OpMeter
 	tr  *trace.Ring
 
-	// opMu serializes client operations: the paper's processes are
-	// sequential.
+	// opMu serializes the synchronous Write/Read calls: the paper's
+	// processes are sequential. The engine executes every operation; opMu
+	// only keeps one synchronous submission in flight per process, so its
+	// history stays well-formed.
 	opMu sync.Mutex
 
 	mu    sync.Mutex
@@ -213,14 +217,6 @@ type Node struct {
 	// ob group-commits its round broadcasts into batch frames.
 	eng *engine
 	ob  *outbox
-
-	// wlocks serializes tag-minting write-protocol executions per register
-	// (reg -> *sync.Mutex): two concurrent executions at one node would
-	// both observe the same majority maximum and mint the same timestamp
-	// for different values. The synchronous path (already serial under
-	// opMu) and the engine's per-register dispatchers only ever contend
-	// here when both APIs write the same register at once.
-	wlocks sync.Map
 
 	// roundPool recycles per-round working sets (ack channel, scratch
 	// slices, retransmission timer); see roundState.
@@ -444,6 +440,7 @@ func (nd *Node) Crash(onEvent func()) bool {
 	nd.state = stateDown
 	nd.epoch++
 	close(nd.crashCh)
+	nd.ob.discard()
 	nd.crashCh = make(chan struct{})
 	nd.regs = make(map[string]regState)
 	nd.rec = 0
@@ -506,6 +503,7 @@ func (nd *Node) Recover(ctx context.Context, onEvent, onAbort func()) error {
 			nd.state = stateDown
 			nd.epoch++
 			close(nd.crashCh)
+			nd.ob.discard()
 			nd.crashCh = make(chan struct{})
 			nd.regs = make(map[string]regState)
 			nd.rec = 0
@@ -540,6 +538,7 @@ func (nd *Node) Close() {
 	if prev == stateUp || prev == stateRecovering {
 		close(nd.crashCh)
 		nd.crashCh = make(chan struct{})
+		nd.ob.discard()
 	}
 	nd.mu.Unlock()
 }

@@ -643,25 +643,88 @@ func TestObserverCallbacks(t *testing.T) {
 	}
 }
 
-// TestObserverNoReturnOnCrash: an operation interrupted by a crash must not
-// fire OnReturn — its invocation stays pending.
+// TestObserverNoReturnOnCrash: an operation interrupted by a crash, or
+// abandoned when its caller's ctx ends, must not fire OnReturn — its
+// invocation stays pending. The abandoned write keeps riding its engine
+// batch; even once that batch finishes, OnReturn stays silent, and the
+// process's next Write goes through normally.
 func TestObserverNoReturnOnCrash(t *testing.T) {
-	tc := newTestCluster(t, 3, Persistent, Options{}, netsim.Options{})
-	tc.net.SetFilter(func(e wire.Envelope) bool { return e.Kind != wire.KindSNQuery })
-	var returned atomic.Bool
-	done := make(chan error, 1)
-	go func() {
-		_, err := tc.nodes[0].Write(tc.ctx(), "x", []byte("v"),
-			OpObserver{OnReturn: func(uint64, []byte, tag.Tag) { returned.Store(true) }})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	tc.crash(0)
-	if err := <-done; !errors.Is(err, ErrCrashed) {
-		t.Fatalf("err = %v", err)
+	cases := []struct {
+		name    string
+		timeout time.Duration // ctx deadline of the interrupted Write; 0 crashes the node instead
+		want    error
+	}{
+		{name: "crash", want: ErrCrashed},
+		{name: "ctx-deadline", timeout: 50 * time.Millisecond, want: context.DeadlineExceeded},
 	}
-	if returned.Load() {
-		t.Fatal("OnReturn fired for a crashed operation")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3, Persistent, Options{}, netsim.Options{})
+			// No query reaches anyone, so the write's first round never
+			// gathers a majority.
+			tc.net.SetFilter(func(e wire.Envelope) bool { return e.Kind != wire.KindSNQuery })
+			var mu sync.Mutex
+			var returned []uint64
+			obs := OpObserver{OnReturn: func(op uint64, _ []byte, _ tag.Tag) {
+				mu.Lock()
+				returned = append(returned, op)
+				mu.Unlock()
+			}}
+			returnedOp := func(op uint64) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, r := range returned {
+					if r == op {
+						return true
+					}
+				}
+				return false
+			}
+			ctx := tc.ctx()
+			if c.timeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, c.timeout)
+				defer cancel()
+			}
+			type result struct {
+				op  uint64
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				op, err := tc.nodes[0].Write(ctx, "x", []byte("v"), obs)
+				done <- result{op, err}
+			}()
+			if c.timeout == 0 {
+				time.Sleep(20 * time.Millisecond)
+				tc.crash(0)
+			}
+			r := <-done
+			if !errors.Is(r.err, c.want) {
+				t.Fatalf("err = %v, want %v", r.err, c.want)
+			}
+			if c.timeout > 0 {
+				// Restore the majority and let the engine finish the
+				// abandoned batch: its endOp runs, but must stay silent.
+				tc.net.SetFilter(nil)
+				sh, q := tc.nodes[0].eng.queueFor("x")
+				waitFor(t, 5*time.Second, "the abandoned batch to finish", func() bool {
+					sh.mu.Lock()
+					defer sh.mu.Unlock()
+					return !q.running
+				})
+				next, err := tc.nodes[0].Write(tc.ctx(), "x", []byte("w"), obs)
+				if err != nil {
+					t.Fatalf("next write after the abandoned one: %v", err)
+				}
+				if !returnedOp(next) {
+					t.Fatal("OnReturn did not fire for the next write")
+				}
+			}
+			if returnedOp(r.op) {
+				t.Fatal("OnReturn fired for an interrupted operation")
+			}
+		})
 	}
 }
 

@@ -21,12 +21,12 @@ import (
 //     goroutine, if the operation already finished. The callback takes a
 //     static function plus an opaque argument so registering one allocates
 //     nothing (a pointer boxed into an interface stays on its owner).
-//   - Completion is a handful of plain field writes followed by one atomic
-//     store and one channel close. The engine goroutine never takes a lock
-//     to complete an operation, and waiters never take one to read the
-//     outcome: the done flag's release/acquire pair orders the result
-//     fields. The mutex guards only the cold edges — callback registration
-//     racing completion, and the recycle bookkeeping.
+//   - Completion is a handful of plain field writes and one atomic store
+//     inside one uncontended critical section, then one channel close.
+//     Waiters never take the lock to read the outcome: the done flag's
+//     release/acquire pair orders the result fields. The mutex makes
+//     publishing done and handing off the callback one step, so callback
+//     registration racing completion can never cross a recycle.
 //   - Futures come from a sync.Pool. Release returns one after its operation
 //     completed; releasing bumps the future's generation counter, so a
 //     handle held across a recycle is detectably stale: the gen-checked
@@ -61,9 +61,13 @@ var closedCh = func() chan struct{} {
 type Future struct {
 	op   uint64
 	done atomic.Bool
-	ch   chan struct{} // per-generation; allocated in newFuture, dropped on Release
+	// claimed arbitrates endOp firing OnReturn against a synchronous caller
+	// abandoning the operation when its ctx ends: the first to set it wins
+	// (see await).
+	claimed atomic.Bool
+	ch      chan struct{} // per-generation; allocated in newFuture, dropped on Release
 
-	mu   sync.Mutex // guards cb/cbID, gen, and the recycle zeroing
+	mu   sync.Mutex // guards cb/cbID, gen, publishing done, and the recycle zeroing
 	gen  uint64     // bumped on every Release; stale-handle detector
 	cb   func(*Future, any)
 	cbID any
@@ -180,9 +184,9 @@ func (f *Future) Result(gen uint64) (val []byte, wit tag.Tag, inc uint64, err er
 // Release the future.
 //
 // Exactly-once is the mutex's job: the done check and the registration are
-// one critical section, and complete collects the callback under the same
-// mutex after publishing done — every interleaving fires the callback from
-// exactly one side.
+// one critical section, and complete publishes done and collects the
+// callback in another — every interleaving fires the callback from exactly
+// one side.
 func (f *Future) OnDone(cb func(*Future, any), arg any) {
 	f.mu.Lock()
 	if f.done.Load() {
@@ -200,20 +204,26 @@ func (f *Future) OnDone(cb func(*Future, any), arg any) {
 
 // complete resolves the future: record the outcome, release blocked
 // waiters, fire the registered callback. Called exactly once per
-// generation, on the engine goroutine that executed the operation. The
-// result fields are published by the done store (release) and the channel
-// close; the mutex is taken only to hand off the callback.
+// generation, on the engine goroutine that executed the operation.
+//
+// Publishing done, collecting the callback and capturing the channel are one
+// critical section. Were done visible before the callback was collected, a
+// racing OnDone could see it, fire inline, Release the future and let the
+// pool hand it to the next operation, whose freshly registered callback this
+// call would then collect and fire — for an operation that has not
+// completed. After the unlock complete touches only what it captured.
 func (f *Future) complete(val []byte, wit tag.Tag, inc uint64, err error) {
+	f.mu.Lock()
 	if f.done.Load() {
+		f.mu.Unlock()
 		panic("core: Future completed twice")
 	}
 	f.val, f.wit, f.inc, f.err = val, wit, inc, err
-	f.done.Store(true)
-	close(f.ch)
-	f.mu.Lock()
-	cb, arg := f.cb, f.cbID
+	ch, cb, arg := f.ch, f.cb, f.cbID
 	f.cb, f.cbID = nil, nil
+	f.done.Store(true)
 	f.mu.Unlock()
+	close(ch)
 	if cb != nil {
 		cb(f, arg)
 	}
@@ -233,6 +243,7 @@ func (f *Future) Release() {
 	f.op, f.val, f.wit, f.inc, f.err = 0, nil, tag.Tag{}, 0, nil
 	f.ch = nil
 	f.mu.Unlock()
+	f.claimed.Store(false)
 	f.done.Store(false)
 	futurePool.Put(f)
 }

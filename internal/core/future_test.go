@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,4 +154,49 @@ func TestFutureReleasePanicsOnPending(t *testing.T) {
 		f.Release()
 	}()
 	f.Release()
+}
+
+// TestFutureInlineReleaseNeverFiresRecycledCallback races complete against
+// an OnDone whose callback is the future's sole owner: it Releases the
+// future and registers a callback on the next operation's future, which the
+// pool usually hands back as the very same object. Whichever side fires the
+// first callback, the second must fire only from its own operation's
+// completion — never from the first operation's complete collecting it off
+// the recycled future.
+func TestFutureInlineReleaseNeverFiresRecycledCallback(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		f := newFuture(1)
+		var next *Future
+		var nextCompleted, nextFired atomic.Bool
+		start, completed := make(chan struct{}), make(chan struct{})
+		go func() {
+			<-start
+			f.complete(nil, tag.Tag{}, 1, nil)
+			close(completed)
+		}()
+		close(start)
+		f.OnDone(func(ff *Future, _ any) {
+			ff.Release()
+			next = newFuture(2)
+			next.OnDone(func(*Future, any) {
+				if !nextCompleted.Load() {
+					t.Error("callback fired before its own operation completed")
+				}
+				nextFired.Store(true)
+			}, nil)
+		}, nil)
+		<-completed
+		if next == nil {
+			t.Fatal("first callback never fired")
+		}
+		nextCompleted.Store(true)
+		next.complete(nil, tag.Tag{}, 1, nil)
+		if !nextFired.Load() {
+			t.Fatal("second callback never fired")
+		}
+		next.Release()
+		if t.Failed() {
+			return
+		}
+	}
 }

@@ -3,20 +3,18 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"recmem/internal/tag"
 	"recmem/internal/wire"
 )
 
 // This file implements first-class register handles: a RegisterRef resolves
-// everything per-register the node would otherwise look up on every
-// operation — the batching engine's shard and queue (maphash + map lookup)
-// and the per-register write-execution lock (sync.Map lookup) — exactly
-// once, so handle-based operations touch only pointer-stable state on the
-// hot path. It also implements the §VI read-consistency selection: the
-// regular register's read can be downgraded to a safe read served by the
-// writer alone.
+// what the node would otherwise look up on every operation — the batching
+// engine's shard and queue (maphash + map lookup) — exactly once, so
+// handle-based operations touch only pointer-stable state on the hot path.
+// It also implements the §VI read-consistency selection: the regular
+// register's read can be downgraded to a safe read served by the writer
+// alone.
 
 // ReadMode selects the consistency of a single read operation.
 type ReadMode int
@@ -56,20 +54,19 @@ func (nd *Node) checkReadMode(mode ReadMode) error {
 
 // RegisterRef is a node's cached handle on one register. Obtain one with
 // Node.RegisterRef and reuse it: all per-register resolution (engine shard,
-// submission queue, write lock) happened at creation, so the per-operation
-// string-map lookups of the Node-level API disappear from the hot path.
+// submission queue) happened at creation, so the per-operation string-map
+// lookup of the Node-level API disappears from the hot path.
 type RegisterRef struct {
 	nd  *Node
 	reg string
 	sh  *engineShard
 	q   *regQueue
-	wmu *sync.Mutex
 }
 
 // RegisterRef resolves a cached handle for the named register.
 func (nd *Node) RegisterRef(reg string) *RegisterRef {
 	sh, q := nd.eng.queueFor(reg)
-	return &RegisterRef{nd: nd, reg: reg, sh: sh, q: q, wmu: nd.wlock(reg)}
+	return &RegisterRef{nd: nd, reg: reg, sh: sh, q: q}
 }
 
 // Name returns the register name.
@@ -82,26 +79,15 @@ func (r *RegisterRef) Node() *Node { return r.nd }
 // the minted tag — the write's tag witness (zero on failure) — and the
 // incarnation epoch the operation completed under (zero on failure).
 func (r *RegisterRef) Write(ctx context.Context, val []byte, obs OpObserver) (uint64, tag.Tag, uint64, error) {
-	nd := r.nd
-	if len(val) > wire.MaxValueSize {
-		return 0, tag.Tag{}, 0, wire.ErrValueTooLarge
-	}
-	if nd.kind == RegularSW && nd.id != RegularWriter {
-		return 0, tag.Tag{}, 0, ErrNotWriter
-	}
-	nd.opMu.Lock()
-	defer nd.opMu.Unlock()
-	val = append([]byte(nil), val...)
-	op, epoch, err := nd.beginOp(obs)
+	r.nd.opMu.Lock()
+	defer r.nd.opMu.Unlock()
+	fut, err := r.SubmitWrite(val, obs)
 	if err != nil {
 		return 0, tag.Tag{}, 0, err
 	}
-	wit, err := nd.writeProtocolMu(ctx, op, r.reg, val, false, r.wmu)
-	inc, err := nd.endOp(op, epoch, obs, err, nil, wit)
-	if err != nil {
-		return op, tag.Tag{}, 0, err
-	}
-	return op, wit, inc, nil
+	op := fut.Op()
+	_, wit, inc, err := await(ctx, fut)
+	return op, wit, inc, err
 }
 
 // Read is Node.Read through the cached handle, with a read-consistency
@@ -110,30 +96,15 @@ func (r *RegisterRef) Write(ctx context.Context, val []byte, obs OpObserver) (ui
 // the read's tag witness (zero on failure or for the initial value ⊥) — and
 // the incarnation epoch the operation completed under (zero on failure).
 func (r *RegisterRef) Read(ctx context.Context, mode ReadMode, obs OpObserver) ([]byte, uint64, tag.Tag, uint64, error) {
-	nd := r.nd
-	if err := nd.checkReadMode(mode); err != nil {
-		return nil, 0, tag.Tag{}, 0, err
-	}
-	nd.opMu.Lock()
-	defer nd.opMu.Unlock()
-	op, epoch, err := nd.beginOp(obs)
+	r.nd.opMu.Lock()
+	defer r.nd.opMu.Unlock()
+	fut, err := r.SubmitRead(mode, obs)
 	if err != nil {
 		return nil, 0, tag.Tag{}, 0, err
 	}
-	var (
-		val []byte
-		wit tag.Tag
-	)
-	if mode == ReadSafe {
-		val, wit, err = nd.safeReadSW(ctx, op, r.reg, false)
-	} else {
-		val, wit, err = nd.readProtocol(ctx, op, r.reg, false)
-	}
-	inc, err := nd.endOp(op, epoch, obs, err, val, wit)
-	if err != nil {
-		return nil, op, tag.Tag{}, 0, err
-	}
-	return val, op, wit, inc, nil
+	op := fut.Op()
+	val, wit, inc, err := await(ctx, fut)
+	return val, op, wit, inc, err
 }
 
 // SubmitWrite is Node.SubmitWrite through the cached handle: the submission
@@ -148,47 +119,34 @@ func (r *RegisterRef) SubmitWrite(val []byte, obs OpObserver) (*Future, error) {
 // remote server's decoded request value is already an owned copy, so this is
 // its ingest path.
 func (r *RegisterRef) SubmitWriteOwned(val []byte, obs OpObserver) (*Future, error) {
-	nd := r.nd
-	if len(val) > wire.MaxValueSize {
-		return nil, wire.ErrValueTooLarge
-	}
-	if nd.kind == RegularSW && nd.id != RegularWriter {
-		return nil, ErrNotWriter
-	}
-	op, epoch, err := nd.beginOp(obs)
-	if err != nil {
-		return nil, err
-	}
-	fut := newFuture(op)
-	nd.eng.enqueueResolved(r.sh, r.q, r.reg, newSub(false, val, obs, op, epoch, fut))
-	return fut, nil
+	return r.nd.submit(r.reg, r.sh, r.q, false, val, obs)
 }
 
 // SubmitRead is Node.SubmitRead through the cached handle. Default and
-// regular reads coalesce through the batching engine; safe reads bypass it —
-// they are a single 2-message exchange with the writer, so there is no
-// quorum round to share — and run on their own goroutine.
+// regular reads coalesce through the batching engine; safe reads bypass its
+// queue — they are a single 2-message exchange with the writer, so there is
+// no quorum round to share — and run on their own goroutine.
 func (r *RegisterRef) SubmitRead(mode ReadMode, obs OpObserver) (*Future, error) {
 	nd := r.nd
 	if err := nd.checkReadMode(mode); err != nil {
 		return nil, err
 	}
-	op, epoch, err := nd.beginOp(obs)
+	if mode != ReadSafe {
+		return nd.submit(r.reg, r.sh, r.q, true, nil, obs)
+	}
+	s, err := nd.admit(true, nil, obs)
 	if err != nil {
 		return nil, err
 	}
-	fut := newFuture(op)
-	if mode == ReadSafe {
-		go func() {
-			// Like engine rounds, the safe read aborts via crashCh on
-			// crash/close rather than through a context.
-			val, wit, err := nd.safeReadSW(context.Background(), op, r.reg, false)
-			inc, err2 := nd.endOp(op, epoch, obs, err, val, wit)
-			fut.complete(val, wit, inc, err2)
-		}()
-		return fut, nil
-	}
-	nd.eng.enqueueResolved(r.sh, r.q, r.reg, newSub(true, nil, obs, op, epoch, fut))
+	fut := s.fut
+	go func() {
+		// Like engine rounds, the safe read aborts via crashCh on
+		// crash/close rather than through a context.
+		val, wit, err := nd.safeReadSW(context.Background(), s.op, r.reg)
+		inc, err := nd.endOp(s, err, val, wit)
+		s.fut.complete(val, wit, inc, err)
+		putSub(s)
+	}()
 	return fut, nil
 }
 
@@ -196,9 +154,9 @@ func (r *RegisterRef) SubmitRead(mode ReadMode, obs OpObserver) (*Future, error)
 // writer alone, requiring only the writer's acknowledgement. See ReadSafe
 // for why this is safe (and regular) yet blocks while the writer is down.
 // The returned tag is the writer's adopted tag — the read's tag witness.
-func (nd *Node) safeReadSW(ctx context.Context, op uint64, reg string, batched bool) ([]byte, tag.Tag, error) {
+func (nd *Node) safeReadSW(ctx context.Context, op uint64, reg string) ([]byte, tag.Tag, error) {
 	acks, err := nd.runRoundOpts(ctx, op, wire.Envelope{Kind: wire.KindRead, Reg: reg},
-		roundOpts{require: RegularWriter, to: RegularWriter, quorum: 1, batched: batched})
+		roundOpts{require: RegularWriter, to: RegularWriter, quorum: 1})
 	if err != nil {
 		return nil, tag.Tag{}, err
 	}

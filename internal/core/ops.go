@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sync"
+	"errors"
 
 	"recmem/internal/causal"
 	"recmem/internal/tag"
@@ -42,50 +42,96 @@ func (nd *Node) beginOp(obs OpObserver) (op uint64, epoch uint64, err error) {
 	return op, nd.epoch, nil
 }
 
+// errAbandoned completes an operation whose synchronous caller stopped
+// waiting before it finished; nobody observes it (see await).
+var errAbandoned = errors.New("core: operation abandoned by its caller")
+
+// admit is the admission step every client operation shares: writes are
+// validated before the invocation exists (an oversized value or a non-writer
+// under RegularSW never invokes anything), then beginOp fires OnInvoke and
+// the operation is bound to a fresh future. The returned sub carries
+// everything endOp needs.
+func (nd *Node) admit(read bool, val []byte, obs OpObserver) (*batchSub, error) {
+	if !read {
+		if len(val) > wire.MaxValueSize {
+			return nil, wire.ErrValueTooLarge
+		}
+		if nd.kind == RegularSW && nd.id != RegularWriter {
+			return nil, ErrNotWriter
+		}
+	}
+	op, epoch, err := nd.beginOp(obs)
+	if err != nil {
+		return nil, err
+	}
+	return newSub(read, val, obs, op, epoch, newFuture(op)), nil
+}
+
 // endOp fires OnReturn if the operation ran to completion on a process that
 // is still in the same incarnation; an operation that raced with a crash is
 // reported as ErrCrashed and its invocation stays pending. On success it also
 // returns the node's incarnation epoch, read under the same lock that proves
 // the crash generation never changed — so the whole operation ran within that
 // one incarnation, and the epoch is a truthful witness for remote observers.
-func (nd *Node) endOp(op, epoch uint64, obs OpObserver, err error, val []byte, wit tag.Tag) (uint64, error) {
+// An operation its synchronous caller abandoned stays pending too: whichever
+// of endOp and await claims the future first decides.
+func (nd *Node) endOp(s *batchSub, err error, val []byte, wit tag.Tag) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
-	if nd.state != stateUp || nd.epoch != epoch {
+	if nd.state != stateUp || nd.epoch != s.epoch {
 		return 0, ErrCrashed
 	}
-	if obs.OnReturn != nil {
-		obs.OnReturn(op, val, wit)
+	if s.fut.claimed.Swap(true) {
+		return 0, errAbandoned
+	}
+	if s.obs.OnReturn != nil {
+		s.obs.OnReturn(s.op, val, wit)
 	}
 	return nd.inc, nil
+}
+
+// await is the synchronous API's wait on its one-sub submission: it returns
+// the operation's outcome (zero witness and epoch on failure) and recycles
+// the future. If ctx ends first, await claims the future and returns
+// ctx.Err() at once; the operation stays pending in the history and its
+// OnReturn never fires, although the engine still finishes the batch it
+// rides in. If endOp claimed the future first, OnReturn has fired or is
+// firing and the outcome is moments away, so await takes it instead.
+func await(ctx context.Context, fut *Future) ([]byte, tag.Tag, uint64, error) {
+	select {
+	case <-fut.Done():
+	case <-ctx.Done():
+		if !fut.claimed.Swap(true) {
+			return nil, tag.Tag{}, 0, ctx.Err()
+		}
+		<-fut.Done()
+	}
+	val, wit, inc, err := fut.val, fut.wit, fut.inc, fut.err
+	fut.Release()
+	if err != nil {
+		return nil, tag.Tag{}, 0, err
+	}
+	return val, wit, inc, nil
 }
 
 // Write emulates the register's write operation at this process. It blocks
 // until a majority acknowledges (robustness: it terminates provided the
 // process does not crash and a majority is eventually permanently up) and
-// returns the operation id used for accounting.
+// returns the operation id used for accounting. The operation is a one-sub
+// submission to the batching engine; opMu keeps the process's synchronous
+// operations sequential, as the paper's processes are.
 func (nd *Node) Write(ctx context.Context, reg string, val []byte, obs OpObserver) (uint64, error) {
-	if len(val) > wire.MaxValueSize {
-		return 0, wire.ErrValueTooLarge
-	}
-	if nd.kind == RegularSW && nd.id != RegularWriter {
-		// Rejected before the invocation exists: a non-writer never invokes
-		// a write on the single-writer register.
-		return 0, ErrNotWriter
-	}
 	nd.opMu.Lock()
 	defer nd.opMu.Unlock()
-	// Copy once at the boundary; the value is immutable inside the system.
-	val = append([]byte(nil), val...)
-	op, epoch, err := nd.beginOp(obs)
+	fut, err := nd.SubmitWrite(reg, val, obs)
 	if err != nil {
 		return 0, err
 	}
-	wit, err := nd.writeProtocol(ctx, op, reg, val, false)
-	_, err = nd.endOp(op, epoch, obs, err, nil, wit)
+	op := fut.Op()
+	_, _, _, err = await(ctx, fut)
 	return op, err
 }
 
@@ -93,39 +139,22 @@ func (nd *Node) Write(ctx context.Context, reg string, val []byte, obs OpObserve
 // sequence-number query round, the timestamp mint (algorithm-specific), an
 // optional writer pre-log (persistent: Fig. 4 line 12), and the propagation
 // round. The single-writer regular register branches to its one-round form.
-// With batched set, round broadcasts go through the node's outbox so that
-// concurrently pipelined registers share batch frames. The returned tag is
-// the minted timestamp — the write's tag witness (zero if the execution
-// failed before minting).
+// The returned tag is the minted timestamp — the write's tag witness (zero
+// if the execution failed before minting).
 //
-// The whole execution holds the node's per-register write lock: the minted
-// timestamp is derived from the queried majority maximum, so two concurrent
-// executions for one register (a synchronous Write racing a batch flush)
-// would mint the same timestamp for different values.
-func (nd *Node) writeProtocol(ctx context.Context, op uint64, reg string, val []byte, batched bool) (tag.Tag, error) {
-	return nd.writeProtocolMu(ctx, op, reg, val, batched, nd.wlock(reg))
-}
-
-// wlock resolves (creating on first use) the register's write-execution
-// lock. RegisterRef caches the result, skipping the sync.Map lookup per op.
-func (nd *Node) wlock(reg string) *sync.Mutex {
-	l, _ := nd.wlocks.LoadOrStore(reg, &sync.Mutex{})
-	return l.(*sync.Mutex)
-}
-
-// writeProtocolMu is writeProtocol with the per-register write lock already
-// resolved (the cached-handle fast path).
-func (nd *Node) writeProtocolMu(ctx context.Context, op uint64, reg string, val []byte, batched bool, mu *sync.Mutex) (tag.Tag, error) {
-	mu.Lock()
-	defer mu.Unlock()
+// Only the register's engine dispatcher runs it, one batch at a time: the
+// minted timestamp is derived from the queried majority maximum, so two
+// concurrent executions for one register would mint the same timestamp for
+// different values.
+func (nd *Node) writeProtocol(ctx context.Context, op uint64, reg string, val []byte) (tag.Tag, error) {
 	if nd.kind == RegularSW {
-		return nd.writeRegularSW(ctx, op, reg, val, batched)
+		return nd.writeRegularSW(ctx, op, reg, val)
 	}
 	depth := 0
 	if nd.kind == Naive {
 		// §I-C straw man: log the intent before doing anything.
 		payload := encodeTagged(tag.Tag{Writer: nd.id}, val)
-		if err := nd.storeLog(batched, recWStartPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(recWStartPrefix+reg, payload); err != nil {
 			return tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -133,7 +162,7 @@ func (nd *Node) writeProtocolMu(ctx context.Context, op uint64, reg string, val 
 	}
 
 	// Round 1: collect sequence numbers from a majority (Fig. 4 lines 7–10).
-	acks, err := nd.runRound(ctx, op, wire.Envelope{Kind: wire.KindSNQuery, Reg: reg, Depth: uint8(depth)}, -1, batched)
+	acks, err := nd.runRound(ctx, op, wire.Envelope{Kind: wire.KindSNQuery, Reg: reg, Depth: uint8(depth)}, -1)
 	if err != nil {
 		return tag.Tag{}, err
 	}
@@ -143,11 +172,10 @@ func (nd *Node) writeProtocolMu(ctx context.Context, op uint64, reg string, val 
 	// Writer pre-log (Fig. 4 line 12): the persistent algorithm's second
 	// causal log; it lets recovery finish the write and pins the minted
 	// timestamp so it can never be reused for a different value. One
-	// coalesced batch mints one tag, so this is the batch's single pre-log,
-	// issued through the batched durability path.
+	// coalesced batch mints one tag, so this is the batch's single pre-log.
 	if nd.kind == Persistent || nd.kind == Naive {
 		payload := encodeTagged(newTag, val)
-		if err := nd.storeLog(batched, recWritingPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(recWritingPrefix+reg, payload); err != nil {
 			return tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -157,7 +185,7 @@ func (nd *Node) writeProtocolMu(ctx context.Context, op uint64, reg string, val 
 	// Round 2: propagate the tagged value to a majority (Fig. 4 lines 13–15).
 	_, err = nd.runRound(ctx, op, wire.Envelope{
 		Kind: wire.KindWrite, Reg: reg, Tag: newTag, Value: val, Depth: uint8(depth),
-	}, -1, batched)
+	}, -1)
 	if err != nil {
 		return tag.Tag{}, err
 	}
@@ -196,19 +224,18 @@ func (nd *Node) hardenedRec(rec int32) int32 {
 // majority before returning it (Fig. 4 lines 31–39). In the absence of
 // concurrent writes the write-back finds the timestamp already adopted
 // everywhere and nobody logs. A nil value with ok semantics maps to the
-// register's initial value ⊥.
+// register's initial value ⊥. Like Write, it is a one-sub engine submission
+// under opMu.
 func (nd *Node) Read(ctx context.Context, reg string, obs OpObserver) ([]byte, uint64, error) {
 	nd.opMu.Lock()
 	defer nd.opMu.Unlock()
-	op, epoch, err := nd.beginOp(obs)
+	fut, err := nd.SubmitRead(reg, obs)
 	if err != nil {
 		return nil, 0, err
 	}
-	val, wit, err := nd.readProtocol(ctx, op, reg, false)
-	if _, err := nd.endOp(op, epoch, obs, err, val, wit); err != nil {
-		return nil, op, err
-	}
-	return val, op, nil
+	op := fut.Op()
+	val, _, _, err := await(ctx, fut)
+	return val, op, err
 }
 
 // writeRegularSW is the §VI single-writer write: no query round — the
@@ -220,7 +247,7 @@ func (nd *Node) Read(ctx context.Context, reg string, obs OpObserver) ([]byte, u
 // completed write, which keeps timestamps strictly monotone — unfinished
 // writes are out-minted by the recovery count exactly as in Fig. 5. One
 // causal log (all adopters log in parallel), 2 communication steps.
-func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val []byte, batched bool) (tag.Tag, error) {
+func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val []byte) (tag.Tag, error) {
 	if nd.id != RegularWriter {
 		return tag.Tag{}, ErrNotWriter
 	}
@@ -242,7 +269,7 @@ func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val [
 	newTag := own.Next(nd.id, int64(rec), nd.hardenedRec(rec))
 	if _, err := nd.runRound(ctx, op, wire.Envelope{
 		Kind: wire.KindWrite, Reg: reg, Tag: newTag, Value: val,
-	}, nd.id, batched); err != nil {
+	}, nd.id); err != nil {
 		return tag.Tag{}, err
 	}
 	return newTag, nil
@@ -250,9 +277,9 @@ func (nd *Node) writeRegularSW(ctx context.Context, op uint64, reg string, val [
 
 // readProtocol returns the read value together with the tag under which it
 // was adopted — the read's tag witness.
-func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string, batched bool) ([]byte, tag.Tag, error) {
+func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string) ([]byte, tag.Tag, error) {
 	// Round 1: collect tagged values from a majority.
-	acks, err := nd.runRound(ctx, op, wire.Envelope{Kind: wire.KindRead, Reg: reg}, -1, batched)
+	acks, err := nd.runRound(ctx, op, wire.Envelope{Kind: wire.KindRead, Reg: reg}, -1)
 	if err != nil {
 		return nil, tag.Tag{}, err
 	}
@@ -271,7 +298,7 @@ func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string, batched
 	if nd.kind == Naive {
 		// Straw man: the reader logs what it is about to write back.
 		payload := encodeTagged(best.Tag, best.Value)
-		if err := nd.storeLog(batched, recWStartPrefix+reg, payload); err != nil {
+		if err := nd.storeLog(recWStartPrefix+reg, payload); err != nil {
 			return nil, tag.Tag{}, err
 		}
 		depth = causal.After(depth)
@@ -283,7 +310,7 @@ func (nd *Node) readProtocol(ctx context.Context, op uint64, reg string, batched
 	// writer's propagation had only partially completed.
 	_, err = nd.runRound(ctx, op, wire.Envelope{
 		Kind: wire.KindWriteBack, Reg: reg, Tag: best.Tag, Value: best.Value, Depth: uint8(depth),
-	}, -1, batched)
+	}, -1)
 	if err != nil {
 		return nil, tag.Tag{}, err
 	}

@@ -7,32 +7,29 @@ import (
 	"recmem/internal/wire"
 )
 
-// round broadcasts req to all processes and blocks until acknowledgements
-// from a majority of distinct processes arrive — the paper's
+// runRound broadcasts req to all processes and blocks until
+// acknowledgements from a majority of distinct processes arrive — the
+// paper's
 //
 //	repeat send(...) to all until receive(... ack) from ⌈(n+1)/2⌉ processes
 //
 // Over fair-lossy channels the broadcast is retransmitted periodically; the
-// collected acknowledgements are deduplicated by sender. The round aborts
-// with ErrCrashed if the process crashes, or with the context's error on
-// cancellation; it otherwise blocks for as long as a majority is
-// unreachable, which is exactly the robustness contract (operations by
-// processes that do not crash terminate once a majority is permanently up).
-func (nd *Node) round(ctx context.Context, op uint64, req wire.Envelope) (map[int32]wire.Envelope, error) {
-	return nd.runRound(ctx, op, req, -1, false)
-}
-
-// runRound generalizes round along two axes: if require is a valid process
-// id, the round does not complete until that process's acknowledgement is
-// among the collected majority (the RegularSW writer requires its own
-// acknowledgement, which certifies that its own listener has logged the new
-// timestamp — the synchronization that keeps the single writer's timestamps
-// strictly monotone across crashes); with batched set, broadcasts are routed
-// through the node's outbox so that sweeps of concurrently running rounds
+// collected acknowledgements are deduplicated by sender. Every sweep stages
+// through the node's outbox, so sweeps of concurrently running rounds
 // (different registers of the batching engine) group-commit into
-// per-destination batch frames instead of going out as individual messages.
-func (nd *Node) runRound(ctx context.Context, op uint64, req wire.Envelope, require int32, batched bool) (map[int32]wire.Envelope, error) {
-	return nd.runRoundOpts(ctx, op, req, roundOpts{require: require, to: -1, batched: batched})
+// per-destination batch frames. The round aborts with ErrCrashed if the
+// process crashes, or with the context's error on cancellation; it
+// otherwise blocks for as long as a majority is unreachable, which is
+// exactly the robustness contract (operations by processes that do not crash
+// terminate once a majority is permanently up).
+//
+// If require is a valid process id, the round does not complete until that
+// process's acknowledgement is among the collected majority: the RegularSW
+// writer requires its own acknowledgement, which certifies that its own
+// listener has logged the new timestamp — the synchronization that keeps the
+// single writer's timestamps strictly monotone across crashes.
+func (nd *Node) runRound(ctx context.Context, op uint64, req wire.Envelope, require int32) (map[int32]wire.Envelope, error) {
+	return nd.runRoundOpts(ctx, op, req, roundOpts{require: require, to: -1})
 }
 
 // roundOpts generalizes a round beyond the default broadcast-to-all,
@@ -48,8 +45,6 @@ type roundOpts struct {
 	// quorum overrides the number of distinct acknowledgements required
 	// (0: the majority ⌈(n+1)/2⌉).
 	quorum int
-	// batched routes the broadcasts through the node's outbox.
-	batched bool
 }
 
 // roundState is the per-round working set — the acknowledgement channel, the
@@ -105,7 +100,8 @@ func (nd *Node) putRound(rs *roundState) {
 	nd.roundPool.Put(rs)
 }
 
-// runRoundOpts is the fully general round executor; see round and roundOpts.
+// runRoundOpts is the fully general round executor; see runRound and
+// roundOpts.
 func (nd *Node) runRoundOpts(ctx context.Context, op uint64, req wire.Envelope, o roundOpts) (map[int32]wire.Envelope, error) {
 	rpc := nd.newID()
 	req.RPC = rpc
@@ -127,6 +123,7 @@ func (nd *Node) runRoundOpts(ctx context.Context, op uint64, req wire.Envelope, 
 		return nil, ErrCrashed
 	}
 	crashCh := nd.crashCh
+	crashes := nd.ob.crashes.Load() // bumped only under nd.mu
 	nd.pending[rpc] = rs.ch
 	nd.mu.Unlock()
 	defer func() {
@@ -150,22 +147,14 @@ func (nd *Node) runRoundOpts(ctx context.Context, op uint64, req wire.Envelope, 
 	sweeps := 0
 	for {
 		sweeps++
-		if o.batched {
-			sweep := rs.sweep[:0]
-			for _, to := range dests {
-				e := req
-				e.To = to
-				sweep = append(sweep, e)
-			}
-			rs.sweep = sweep
-			nd.ob.enqueue(sweep...)
-		} else {
-			for _, to := range dests {
-				e := req
-				e.To = to
-				nd.send(e)
-			}
+		sweep := rs.sweep[:0]
+		for _, to := range dests {
+			e := req
+			e.To = to
+			sweep = append(sweep, e)
 		}
+		rs.sweep = sweep
+		nd.ob.enqueue(crashes, sweep...)
 	collect:
 		for {
 			select {
